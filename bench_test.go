@@ -439,8 +439,8 @@ func BenchmarkE16ParallelScaling(b *testing.B) {
 
 // BenchmarkE17CodedStrings measures the dictionary-coded execution tier
 // on the string-heavy catalog workload: a projected item/tag join with
-// the coded tier off (the columnar path over value.Value chunks, binary
-// string keys in the join) and on (monomorphic u64 kernels over
+// the coded tier off (the row path, its oracle: binary string keys in
+// the join, a tuple allocated per match) and on (monomorphic u64 kernels over
 // dictionary codes).  allocs/op is the headline together with ns/op: the
 // coded probe hashes raw codes and the gather dedups on code tuples
 // before decoding, so both must drop when coded is on.  Run serial and

@@ -9,19 +9,16 @@
 // hoisting), "off" (the naïve-evaluation oracle, the seed path), or
 // "both", which runs the suite twice and reports per-experiment timings
 // for each — the planner-on vs planner-off comparison archived in
-// BENCH_*.json.  The -columnar flag selects the execution layout of
-// planned evaluation the same way: "on" (vectorized columnar kernels),
-// "off" (the per-tuple row path, the differential oracle), or "both".
-// The -coded flag selects the dictionary-coded execution tier of planned
-// evaluation the same way: "on" (monomorphic u64 kernels over the value
-// dictionary), "off" (the columnar path, the coded tier's differential
-// oracle), or "both".
+// BENCH_*.json.  The -coded flag selects the dictionary-coded execution
+// tier of planned evaluation the same way: "on" (monomorphic u64 kernels
+// over the value dictionary), "off" (the row path, the coded tier's
+// differential oracle), or "both".
 // E13 exercises the engine's snapshot-isolated concurrent batch path and
 // reports its parallel speedup; E14 exercises maintained views and
 // reports the incremental-refresh vs full-recompute speedup on an update
 // stream; E16 sweeps the intra-query worker budget
 // (engine.Options.Workers, the -workers flag) over morsel-parallel
-// evaluation; E17 measures the coded tier against the columnar path on a
+// evaluation; E17 measures the coded tier against the row oracle on a
 // string-heavy workload; E18 measures the multi-session network server
 // (internal/server) end to end — concurrent client fleets over real TCP,
 // with remote answers pinned bit-identical to in-process evaluation; E19
@@ -40,7 +37,6 @@
 //	incbench -only E1,E8
 //	incbench -json            # machine-readable output for perf tracking
 //	incbench -json -planner both
-//	incbench -json -columnar both > BENCH_pr7.json
 //	incbench -json -coded both > BENCH_pr8.json
 //	incbench -json -planner off > BENCH_baseline.json
 package main
@@ -59,7 +55,7 @@ import (
 )
 
 // plannerTimings summarizes one full suite run under a fixed evaluation
-// setting (a planner or columnar selection).
+// setting (a planner or coded selection).
 type plannerTimings struct {
 	Seconds     float64            `json:"seconds"`
 	Experiments map[string]float64 `json:"experiment_seconds"`
@@ -81,7 +77,6 @@ type environment struct {
 type report struct {
 	Config      string               `json:"config"`
 	Planner     string               `json:"planner"`
-	Columnar    string               `json:"columnar"`
 	Coded       string               `json:"coded"`
 	Env         environment          `json:"env"`
 	Experiments []experiments.Result `json:"experiments"`
@@ -92,12 +87,7 @@ type report struct {
 	// results (the two paths are differentially tested to be identical).
 	PlannerOn  *plannerTimings `json:"planner_on,omitempty"`
 	PlannerOff *plannerTimings `json:"planner_off,omitempty"`
-	// ColumnarOn/ColumnarOff carry the vectorized vs row-path comparison
-	// when -columnar both is selected; the Experiments above are the
-	// columnar-on results (the two paths compute bit-identical answers).
-	ColumnarOn  *plannerTimings `json:"columnar_on,omitempty"`
-	ColumnarOff *plannerTimings `json:"columnar_off,omitempty"`
-	// CodedOn/CodedOff carry the coded vs columnar comparison when -coded
+	// CodedOn/CodedOff carry the coded vs row comparison when -coded
 	// both is selected; the Experiments above are the coded-on results
 	// (the two tiers compute bit-identical answers).
 	CodedOn  *plannerTimings `json:"coded_on,omitempty"`
@@ -105,16 +95,12 @@ type report struct {
 }
 
 // runSuite executes the experiment suite through the engine under the
-// given planner, columnar and coded settings and returns the kept
-// results plus timing summary.
-func runSuite(cfg experiments.Config, filter map[string]bool, plannerOn, columnarOn, codedOn bool) ([]experiments.Result, plannerTimings) {
+// given planner and coded settings and returns the kept results plus
+// timing summary.
+func runSuite(cfg experiments.Config, filter map[string]bool, plannerOn, codedOn bool) ([]experiments.Result, plannerTimings) {
 	cfg.Planner = engine.PlannerOn
 	if !plannerOn {
 		cfg.Planner = engine.PlannerOff
-	}
-	cfg.Columnar = engine.ColumnarOn
-	if !columnarOn {
-		cfg.Columnar = engine.ColumnarOff
 	}
 	cfg.Coded = engine.CodedOn
 	if !codedOn {
@@ -151,8 +137,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids to run (e.g. E1,E8)")
 	asJSON := flag.Bool("json", false, "emit one JSON document instead of text tables")
 	planner := flag.String("planner", "on", "evaluation path: on, off, or both (runs twice and compares timings)")
-	columnar := flag.String("columnar", "on", "execution layout of planned evaluation: on (vectorized), off (row oracle), or both")
-	coded := flag.String("coded", "on", "dictionary-coded tier of planned evaluation: on, off (columnar oracle), or both")
+	coded := flag.String("coded", "on", "dictionary-coded tier of planned evaluation: on, off (row oracle), or both")
 	workers := flag.Int("workers", 0, "intra-query worker budget for every evaluation (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
@@ -173,45 +158,34 @@ func main() {
 		fmt.Fprintf(os.Stderr, "incbench: -planner must be on, off or both (got %q)\n", *planner)
 		os.Exit(2)
 	}
-	if *columnar != "on" && *columnar != "off" && *columnar != "both" {
-		fmt.Fprintf(os.Stderr, "incbench: -columnar must be on, off or both (got %q)\n", *columnar)
-		os.Exit(2)
-	}
 	if *coded != "on" && *coded != "off" && *coded != "both" {
 		fmt.Fprintf(os.Stderr, "incbench: -coded must be on, off or both (got %q)\n", *coded)
 		os.Exit(2)
 	}
 
 	primaryPlannerOn := *planner != "off"
-	primaryColumnarOn := *columnar != "off"
 	primaryCodedOn := *coded != "off"
-	kept, primary := runSuite(cfg, filter, primaryPlannerOn, primaryColumnarOn, primaryCodedOn)
+	kept, primary := runSuite(cfg, filter, primaryPlannerOn, primaryCodedOn)
 	if len(kept) == 0 {
 		fmt.Fprintln(os.Stderr, "incbench: no experiment matched the -only filter")
 		os.Exit(1)
 	}
 	var plannerSecondary *plannerTimings
 	if *planner == "both" {
-		_, off := runSuite(cfg, filter, false, primaryColumnarOn, primaryCodedOn)
+		_, off := runSuite(cfg, filter, false, primaryCodedOn)
 		plannerSecondary = &off
-	}
-	var columnarSecondary *plannerTimings
-	if *columnar == "both" {
-		_, off := runSuite(cfg, filter, primaryPlannerOn, false, primaryCodedOn)
-		columnarSecondary = &off
 	}
 	var codedSecondary *plannerTimings
 	if *coded == "both" {
-		_, off := runSuite(cfg, filter, primaryPlannerOn, primaryColumnarOn, false)
+		_, off := runSuite(cfg, filter, primaryPlannerOn, false)
 		codedSecondary = &off
 	}
 
 	if *asJSON {
 		rep := report{
-			Config:   cfgName,
-			Planner:  *planner,
-			Columnar: *columnar,
-			Coded:    *coded,
+			Config:  cfgName,
+			Planner: *planner,
+			Coded:   *coded,
 			Env: environment{
 				GOMAXPROCS: runtime.GOMAXPROCS(0),
 				NumCPU:     runtime.NumCPU(),
@@ -225,11 +199,6 @@ func main() {
 			p := primary
 			rep.PlannerOn = &p
 			rep.PlannerOff = plannerSecondary
-		}
-		if *columnar == "both" {
-			p := primary
-			rep.ColumnarOn = &p
-			rep.ColumnarOff = columnarSecondary
 		}
 		if *coded == "both" {
 			p := primary
@@ -251,12 +220,9 @@ func main() {
 	if *planner == "both" {
 		printComparison("planner", kept, &primary, plannerSecondary)
 	}
-	if *columnar == "both" {
-		printComparison("columnar", kept, &primary, columnarSecondary)
-	}
 	if *coded == "both" {
 		printComparison("coded", kept, &primary, codedSecondary)
 	}
-	fmt.Printf("ran %d experiments in %s (planner %s, columnar %s, coded %s)\n",
-		len(kept), time.Duration(primary.Seconds*float64(time.Second)).Round(time.Millisecond), *planner, *columnar, *coded)
+	fmt.Printf("ran %d experiments in %s (planner %s, coded %s)\n",
+		len(kept), time.Duration(primary.Seconds*float64(time.Second)).Round(time.Millisecond), *planner, *coded)
 }

@@ -100,11 +100,11 @@ func (ev *Evaluator) Naive(q ra.Expr, d *table.Database) (*table.Relation, error
 // hash joins, see plan.EvalCertainWorkers), producing a result bit-identical
 // to Naive's.  workers <= 1 and the oracle path are exactly Naive.
 func (ev *Evaluator) NaiveWorkers(q ra.Expr, d *table.Database, workers int) (*table.Relation, error) {
-	return ev.NaiveWith(q, d, plan.EvalConfig{Workers: workers, Columnar: true, Coded: true})
+	return ev.NaiveWith(q, d, plan.EvalConfig{Workers: workers, Coded: true})
 }
 
 // NaiveWith is Naive with an explicit plan execution configuration
-// (worker budget and columnar/row path selection).  With the planner on
+// (worker budget and coded/row path selection).  With the planner on
 // the compiled plan evaluates under cfg; the oracle path ignores cfg.
 // The result is bit-identical to Naive's for every configuration.
 func (ev *Evaluator) NaiveWith(q ra.Expr, d *table.Database, cfg plan.EvalConfig) (*table.Relation, error) {
@@ -123,7 +123,7 @@ func (ev *Evaluator) NaiveWith(q ra.Expr, d *table.Database, cfg plan.EvalConfig
 // NaiveRawWorkers is NaiveRaw with a worker budget, the raw (nulls kept)
 // counterpart of NaiveWorkers; the result is bit-identical to NaiveRaw's.
 func (ev *Evaluator) NaiveRawWorkers(q ra.Expr, d *table.Database, workers int) (*table.Relation, error) {
-	return ev.NaiveRawWith(q, d, plan.EvalConfig{Workers: workers, Columnar: true, Coded: true})
+	return ev.NaiveRawWith(q, d, plan.EvalConfig{Workers: workers, Coded: true})
 }
 
 // NaiveRawWith is NaiveRaw with an explicit plan execution configuration,

@@ -1,7 +1,6 @@
 package col
 
 import (
-	"bytes"
 	"testing"
 
 	"incdata/internal/table"
@@ -17,59 +16,62 @@ func sampleTuples() []table.Tuple {
 	}
 }
 
-// TestRoundTrip pins the row bridge: FromTuples then Tuple/AppendTuples
-// reproduces the input exactly, with fresh (non-aliasing) tuples.
+// codedChunk encodes tuples row by row into a fresh coded chunk against
+// dict, the way the plan layer's row bridge does.
+func codedChunk(t *testing.T, dict *table.Dict, ts []table.Tuple, arity int) *Coded {
+	t.Helper()
+	c := NewCoded(arity, len(ts))
+	for _, tp := range ts {
+		for j, v := range tp {
+			code, ok := dict.Encode(v)
+			if !ok {
+				t.Fatalf("Encode(%v) not ok", v)
+			}
+			c.Append(j, code)
+		}
+		c.EndRow()
+	}
+	return c
+}
+
+// TestRoundTrip pins the row bridge: tuples encoded into a coded chunk
+// decode back to exactly the input, row for row and column for column.
 func TestRoundTrip(t *testing.T) {
 	ts := sampleTuples()
-	c := New(2, 4)
-	c.FromTuples(ts, 2)
+	dict := table.NewDict()
+	c := codedChunk(t, dict, ts, 2)
 	if c.Rows != len(ts) || c.Arity() != 2 {
 		t.Fatalf("Rows=%d Arity=%d, want %d,2", c.Rows, c.Arity(), len(ts))
 	}
 	for i, want := range ts {
-		got := c.Tuple(i)
 		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("Tuple(%d) = %v, want %v", i, got, want)
+			if len(c.Cols[j]) != c.Rows {
+				t.Fatalf("column %d has %d codes for %d rows", j, len(c.Cols[j]), c.Rows)
+			}
+			if got := dict.Decode(c.Cols[j][i]); got != want[j] {
+				t.Fatalf("row %d col %d decodes to %v, want %v", i, j, got, want[j])
 			}
 		}
-	}
-	gathered := c.AppendTuples(nil, nil)
-	if len(gathered) != len(ts) {
-		t.Fatalf("AppendTuples gathered %d rows, want %d", len(gathered), len(ts))
-	}
-	sel := []int32{1, 3}
-	some := c.AppendTuples(nil, sel)
-	if len(some) != 2 || some[0][0] != ts[1][0] || some[1][0] != ts[3][0] {
-		t.Fatalf("selected gather wrong: %v", some)
-	}
-	// Gathered tuples must not alias chunk storage.
-	c.Reset(2)
-	c.AppendTuple(table.NewTuple(value.Int(99), value.Int(99)))
-	if gathered[0][0] != ts[0][0] {
-		t.Fatalf("gathered tuple aliases chunk storage")
 	}
 }
 
 // TestSidecar pins the all-constant sidecar semantics.
 func TestSidecar(t *testing.T) {
-	c := New(2, 4)
-	c.AppendTuple(table.NewTuple(value.Int(1), value.String("x")))
-	if !c.AllConst() || !c.ConstAt([]int{0, 1}) {
+	dict := table.NewDict()
+	c := codedChunk(t, dict, []table.Tuple{table.NewTuple(value.Int(1), value.String("x"))}, 2)
+	if !c.AllConst() {
 		t.Fatalf("constant-only chunk must be all-constant")
 	}
-	c.AppendTuple(table.NewTuple(value.Null(1), value.String("y")))
+	for j, v := range table.NewTuple(value.Null(1), value.String("y")) {
+		code, _ := dict.Encode(v)
+		c.Append(j, code)
+	}
+	c.EndRow()
 	if c.AllConst() {
 		t.Fatalf("chunk with a null must not be all-constant")
 	}
 	if c.Const[0] || !c.Const[1] {
 		t.Fatalf("sidecar wrong: Const=%v, want [false true]", c.Const)
-	}
-	if c.ConstAt([]int{0}) || !c.ConstAt([]int{1}) {
-		t.Fatalf("ConstAt disagrees with sidecar")
-	}
-	if c.ConstAt(nil) {
-		t.Fatalf("ConstAt(nil) must equal AllConst")
 	}
 	c.Reset(2)
 	if !c.AllConst() || c.Rows != 0 {
@@ -77,12 +79,12 @@ func TestSidecar(t *testing.T) {
 	}
 }
 
-// TestCompleteSel pins the vectorized completeness scan against the
+// TestCompleteSel pins the coded completeness scan against the
 // per-tuple IsComplete oracle, including the all-constant short-circuit.
 func TestCompleteSel(t *testing.T) {
 	ts := sampleTuples()
-	c := New(2, 4)
-	c.FromTuples(ts, 2)
+	dict := table.NewDict()
+	c := codedChunk(t, dict, ts, 2)
 	got, used := c.CompleteSel(nil, nil)
 	if !used {
 		t.Fatalf("chunk with nulls must scan")
@@ -110,30 +112,10 @@ func TestCompleteSel(t *testing.T) {
 	}
 
 	// All-constant chunks return the input selection untouched.
-	c.Reset(2)
-	c.AppendTuple(table.NewTuple(value.Int(1), value.Int(2)))
+	c = codedChunk(t, dict, []table.Tuple{table.NewTuple(value.Int(1), value.Int(2))}, 2)
 	in := []int32{0}
 	got, used = c.CompleteSel(in, nil)
 	if used || len(got) != 1 || got[0] != 0 {
 		t.Fatalf("all-constant CompleteSel must pass the selection through, got %v used=%v", got, used)
-	}
-}
-
-// TestRowKeys pins the column-wise key encodings identical to the
-// per-tuple ones the hash structures are built with.
-func TestRowKeys(t *testing.T) {
-	ts := sampleTuples()
-	c := New(2, 4)
-	c.FromTuples(ts, 2)
-	for i, tp := range ts {
-		if got, want := c.AppendRowKey(nil, i), tp.AppendKey(nil); !bytes.Equal(got, want) {
-			t.Fatalf("AppendRowKey(%d) = %x, want %x", i, got, want)
-		}
-		pos := []int{1, 0}
-		want := tp[1].AppendKey(nil)
-		want = tp[0].AppendKey(want)
-		if got := c.AppendPosKey(nil, pos, i); !bytes.Equal(got, want) {
-			t.Fatalf("AppendPosKey(%d) = %x, want %x", i, got, want)
-		}
 	}
 }

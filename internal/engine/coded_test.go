@@ -36,12 +36,15 @@ func codedTestDB(tuples, domain, nullIDs int, seed int64) *table.Database {
 }
 
 // TestEngineCodedBitIdentical crosses the coded knob with every other
-// evaluation dimension at the engine level: for each query, mode
-// certain/naive, planner on/off, columnar on/off and worker budget
-// 1/2/4, the dictionary-coded tier must produce exactly the fingerprint
-// the uncoded paths do.
+// evaluation dimension at the engine level: for each database
+// (string-heavy and int-only), query, mode certain/naive, planner
+// on/off and worker budget 1/2/4, the dictionary-coded tier must produce
+// exactly the fingerprint the row path does.
 func TestEngineCodedBitIdentical(t *testing.T) {
-	eng := New(codedTestDB(1200, 40, 3, 11))
+	dbs := map[string]*table.Database{
+		"strings": codedTestDB(1200, 40, 3, 11),
+		"ints":    parallelTestDB(1200, 40, 3, 9),
+	}
 	queries := map[string]ra.Expr{
 		"base":   ra.Base("R"),
 		"select": ra.Select{Input: ra.Base("R"), Pred: ra.Neq(ra.Attr("a"), ra.Attr("b"))},
@@ -60,29 +63,25 @@ func TestEngineCodedBitIdentical(t *testing.T) {
 			Right: ra.Project{Input: ra.Base("T"), Attrs: []string{"a"}},
 		},
 	}
-	for name, q := range queries {
-		for _, mode := range []Mode{ModeCertain, ModeNaive} {
-			for _, planner := range []PlannerSetting{PlannerOn, PlannerOff} {
-				for _, columnar := range []ColumnarSetting{ColumnarOn, ColumnarOff} {
+	for dname, d := range dbs {
+		eng := New(d)
+		for name, q := range queries {
+			for _, mode := range []Mode{ModeCertain, ModeNaive} {
+				for _, planner := range []PlannerSetting{PlannerOn, PlannerOff} {
 					for _, workers := range []int{1, 2, 4} {
-						opts := Options{
-							Mode: mode, Planner: planner, Columnar: columnar,
-							Workers: workers, Coded: CodedOff,
-						}
+						label := fmt.Sprintf("%s/%s/%v/planner=%v/workers=%d", dname, name, mode, planner, workers)
+						opts := Options{Mode: mode, Planner: planner, Workers: workers, Coded: CodedOff}
 						want, err := eng.Eval(q, opts)
 						if err != nil {
-							t.Fatalf("%s/%v/planner=%v/columnar=%d/workers=%d uncoded: %v",
-								name, mode, planner, columnar, workers, err)
+							t.Fatalf("%s row: %v", label, err)
 						}
 						opts.Coded = CodedOn
 						got, err := eng.Eval(q, opts)
 						if err != nil {
-							t.Fatalf("%s/%v/planner=%v/columnar=%d/workers=%d coded: %v",
-								name, mode, planner, columnar, workers, err)
+							t.Fatalf("%s coded: %v", label, err)
 						}
 						if fp(got) != fp(want) {
-							t.Fatalf("%s/%v/planner=%v/columnar=%d/workers=%d: coded answer differs from uncoded path",
-								name, mode, planner, columnar, workers)
+							t.Fatalf("%s: coded answer differs from row path", label)
 						}
 					}
 				}

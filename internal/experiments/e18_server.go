@@ -217,7 +217,6 @@ func (h Harness) E18ServerThroughput(orders int, clientCounts []int, requests in
 			resp, rerr := setup.Query(unpaidQ, "certain", plannerText, 0)
 			opts := h.opts(engine.ModeCertain)
 			opts.MaxWorlds = 1 << 20
-			opts.Columnar = engine.ColumnarAuto
 			opts.Coded = engine.CodedAuto
 			want, lerr := localWireFlat(eng, unpaidQ, opts)
 			agree = rerr == nil && lerr == nil && wireFlat(resp.Columns, resp.Rows) == want

@@ -43,13 +43,8 @@ type Harness struct {
 	// serial oracle path.  E16 sweeps its own worker counts on top.
 	Workers int
 
-	// Columnar selects the vectorized columnar execution path or the
-	// per-tuple row oracle for every planned evaluation
-	// (engine.Options.Columnar).
-	Columnar engine.ColumnarSetting
-
 	// Coded selects the dictionary-coded execution tier of planned
-	// evaluation (engine.Options.Coded).
+	// evaluation or the row oracle (engine.Options.Coded).
 	Coded engine.CodedSetting
 }
 
@@ -58,7 +53,7 @@ func (h Harness) engine(d *table.Database) *engine.Engine { return engine.New(d)
 
 // opts is the engine options for a mode under the harness's settings.
 func (h Harness) opts(m engine.Mode) engine.Options {
-	return engine.Options{Mode: m, Planner: h.Planner, Workers: h.Workers, Columnar: h.Columnar, Coded: h.Coded}
+	return engine.Options{Mode: m, Planner: h.Planner, Workers: h.Workers, Coded: h.Coded}
 }
 
 // mustRel unwraps an engine evaluation that cannot fail in a healthy
@@ -1213,7 +1208,7 @@ func (h Harness) E16ParallelScaling(rows int, workerCounts []int) Result {
 // E17CodedStrings measures the dictionary-coded execution tier on the
 // string-heavy catalog workload (workload.Catalog): a projected
 // item/tag join and a category difference, each evaluated with the coded
-// tier off (the PR-7 columnar path) and on, across worker counts.  Codes
+// tier off (the row oracle) and on, across worker counts.  Codes
 // turn string equality into u64 equality — the hash-join build and probe
 // hash raw codes instead of encoding binary string keys, and the final
 // gather deduplicates on code tuples before any value is decoded — so
@@ -1222,12 +1217,12 @@ func (h Harness) E16ParallelScaling(rows int, workerCounts []int) Result {
 func (h Harness) E17CodedStrings(items int, workerCounts []int) Result {
 	res := Result{
 		ID:     "E17",
-		Title:  "Coded columns: dictionary-coded kernels vs columnar on string-heavy joins",
+		Title:  "Coded columns: dictionary-coded kernels vs the row oracle on string-heavy joins",
 		Header: []string{"workload", "workers", "coded-off", "coded-on", "ratio", "agree"},
 		Notes: "coded-off/coded-on are best-of-three seconds for the same query with\n" +
 			"engine.Options.Coded off and on (everything else identical); ratio is off/on, so\n" +
-			"> 1x means the coded tier wins.  agree pins the coded answer bit-identical to the\n" +
-			"columnar one.",
+			"> 1x means the coded tier wins.  agree pins coded vs row oracle: the two answers\n" +
+			"must be bit-identical.",
 	}
 	if len(workerCounts) == 0 {
 		workerCounts = []int{1}

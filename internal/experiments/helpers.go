@@ -56,12 +56,8 @@ type Config struct {
 	// (the incbench -workers flag); 0 resolves to GOMAXPROCS.
 	Workers int
 
-	// Columnar selects the vectorized columnar path or the per-tuple row
-	// oracle for every planned evaluation (the incbench -columnar flag).
-	Columnar engine.ColumnarSetting
-
-	// Coded selects the dictionary-coded execution tier or the columnar
-	// oracle for every planned evaluation (the incbench -coded flag).
+	// Coded selects the dictionary-coded execution tier or the row oracle
+	// for every planned evaluation (the incbench -coded flag).
 	Coded engine.CodedSetting
 
 	E1Sizes        []int
@@ -196,7 +192,7 @@ func All(cfg Config) []Result { return Run(cfg, nil) }
 // order through a Harness with the config's evaluation settings, stamping
 // each result with its wall-clock duration.
 func Run(cfg Config, ids map[string]bool) []Result {
-	h := Harness{Planner: cfg.Planner, Workers: cfg.Workers, Columnar: cfg.Columnar, Coded: cfg.Coded}
+	h := Harness{Planner: cfg.Planner, Workers: cfg.Workers, Coded: cfg.Coded}
 	runs := []struct {
 		id  string
 		run func() Result

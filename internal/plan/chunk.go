@@ -264,12 +264,11 @@ func (n *pdiff) streamChunks(c *pctx, emit func([]table.Tuple) bool) error {
 
 // materializeInto streams n in chunks into out, optionally keeping only
 // null-free tuples (the fused null-stripping of certain-answer extraction).
-// Union branches split at the root so each branch picks its own execution
-// model: under a coded context, branches whose base relations all encode
-// (codedEligible) run on the monomorphic coded path (codedexec.go); under
-// a columnar context, branches whose subtree builds fresh output tuples
-// (colEligible) run on the vectorized path (colexec.go); everything else
-// on the row-chunk path below.
+// Under a coded context, union branches split at the root so each branch
+// picks its own execution model: branches the coded tier accepts
+// (codedEligible) run on the monomorphic coded path (codedexec.go);
+// everything else — including subtrees the coded tier declines — runs on
+// the row-chunk path below, the coded tier's differential oracle.
 func materializeInto(n pnode, c *pctx, certainOnly bool, out *table.Relation) error {
 	return materializeIntoAdopt(n, c, certainOnly, false, out)
 }
@@ -280,20 +279,15 @@ func materializeInto(n pnode, c *pctx, certainOnly bool, out *table.Relation) er
 // operators will consume coded — materialize()'s pipeline breakers — pass
 // adopt; root results skip the collection, nothing ever reads their codes.
 func materializeIntoAdopt(n pnode, c *pctx, certainOnly, adopt bool, out *table.Relation) error {
-	if c.columnar || c.coded {
+	if c.coded {
 		if u, ok := n.(*punion); ok {
 			if err := materializeIntoAdopt(u.l, c, certainOnly, adopt, out); err != nil {
 				return err
 			}
 			return materializeIntoAdopt(u.r, c, certainOnly, adopt, out)
 		}
-	}
-	if c.coded && codedEligible(n, c) {
-		return materializeIntoCoded(n, c, certainOnly, adopt, out)
-	}
-	if c.columnar {
-		if colEligible(n) {
-			return materializeIntoCol(n, c, certainOnly, out)
+		if codedEligible(n, c) {
+			return materializeIntoCoded(n, c, certainOnly, adopt, out)
 		}
 	}
 	if !certainOnly {

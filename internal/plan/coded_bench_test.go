@@ -11,42 +11,47 @@ import (
 	"incdata/internal/value"
 )
 
-// Micro-benchmarks for the monomorphic coded kernels against their
-// columnar (value.Value) counterparts, on the string-heavy shape the
-// coded tier targets: predicate evaluation (BenchmarkCodedFilter) and
-// the full hash-join probe pipeline (BenchmarkCodedJoinProbe).  CI runs
-// them as a -benchtime 1x smoke; local runs with real benchtime report
-// the ns/op and allocs/op the DESIGN.md coded section quotes.
+// Micro-benchmarks for the monomorphic coded kernels against their row
+// counterparts — the oracle path — on the string-heavy shape the coded
+// tier targets: predicate evaluation (BenchmarkCodedFilter) and the full
+// hash-join probe pipeline (BenchmarkCodedJoinProbe).  CI runs them as a
+// -benchtime 1x smoke; local runs with real benchtime report the ns/op
+// and allocs/op the DESIGN.md coded section quotes.
 
-// benchCodedChunk fills a string-valued columnar chunk and its coded
-// twin (same rows, same order) against a fresh dictionary.
-func benchCodedChunk(rows int) (*col.Chunk, *col.Coded, *table.Dict) {
+func benchSchema() schema.Relation {
+	return schema.NewRelation("R", "a", "b")
+}
+
+// benchCodedChunk fills a string-valued row chunk and its coded twin
+// (same rows, same order) against a fresh dictionary.
+func benchCodedChunk(rows int) ([]table.Tuple, *col.Coded, *table.Dict) {
 	dict := table.NewDict()
-	ch := col.New(2, rows)
+	ts := make([]table.Tuple, rows)
 	cd := col.NewCoded(2, rows)
 	for i := 0; i < rows; i++ {
 		a := value.String(fmt.Sprintf("key-%02d", i%64))
 		b := value.Int(int64(i % 7))
-		ch.AppendTuple(table.NewTuple(a, b))
+		ts[i] = table.NewTuple(a, b)
 		ca, _ := dict.Encode(a)
 		cb, _ := dict.Encode(b)
 		cd.Append(0, ca)
 		cd.Append(1, cb)
 		cd.EndRow()
 	}
-	return ch, cd, dict
+	return ts, cd, dict
 }
 
-// BenchmarkCodedFilter compares the vectorized value-typed predicate
-// loop (vpred: per-row kind dispatch and string compares) against the
-// monomorphic coded loop (kpred: raw u64 compares) over the same rows.
+// BenchmarkCodedFilter compares one compiled row predicate applied per
+// tuple (cpred: a closure call, kind dispatch and string compares per
+// row) against the monomorphic coded loop (kpred: raw u64 compares) over
+// the same rows.
 func BenchmarkCodedFilter(b *testing.B) {
 	rs := benchSchema()
 	pred := ra.And{Preds: []ra.Predicate{
 		ra.Neq(ra.Attr("a"), ra.LitString("key-03")),
 		ra.Lt(ra.Attr("b"), ra.LitInt(5)),
 	}}
-	vp, err := compileVPred(pred, rs)
+	cp, err := compilePred(pred, rs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -54,16 +59,17 @@ func BenchmarkCodedFilter(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ch, cd, dict := benchCodedChunk(chunkSize)
+	ts, cd, dict := benchCodedChunk(chunkSize)
 
-	b.Run("columnar", func(b *testing.B) {
+	b.Run("row", func(b *testing.B) {
 		b.ReportAllocs()
-		c := &pctx{}
 		kept := 0
 		for i := 0; i < b.N; i++ {
-			sel := vp(c, ch, nil)
-			kept += len(sel)
-			c.putSel(sel)
+			for _, t := range ts {
+				if cp(t) {
+					kept++
+				}
+			}
 		}
 		_ = kept
 	})
@@ -81,10 +87,9 @@ func BenchmarkCodedFilter(b *testing.B) {
 }
 
 // BenchmarkCodedJoinProbe compares the full hash-join probe pipeline on
-// string keys: the row path (binary key encoding per probe), the
-// columnar path (column-wise gather, still binary keys) and the coded
-// path (code-hash probes, dedup on code tuples, decode only at
-// materialization).  The projected query is the set-semantics shape the
+// string keys: the row path (binary key encoding per probe, a tuple
+// allocated per match) against the coded path (code-hash probes, dedup
+// on code tuples, decode only at materialization).  The projected query is the set-semantics shape the
 // coded gather targets — the join generates 16 duplicates per surviving
 // row, and the code-tuple dedup drops them before any decode or binary
 // key is paid.
@@ -124,8 +129,7 @@ func BenchmarkCodedJoinProbe(b *testing.B) {
 			cfg  EvalConfig
 		}{
 			{"row", EvalConfig{}},
-			{"columnar", EvalConfig{Columnar: true}},
-			{"coded", EvalConfig{Columnar: true, Coded: true}},
+			{"coded", EvalConfig{Coded: true}},
 		} {
 			b.Run(shape.name+"/"+cfg.name, func(b *testing.B) {
 				b.ReportAllocs()

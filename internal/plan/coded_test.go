@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"incdata/internal/ra"
@@ -10,59 +11,34 @@ import (
 	"incdata/internal/value"
 )
 
-// mustSameCoded asserts the coded path is bit-identical to both of its
-// oracles — the columnar path and the per-tuple row path — for raw and
-// certain evaluation under the given worker budget.
+// mustSameCoded asserts the coded path is bit-identical to its oracle,
+// the row path, for raw and certain evaluation under the given worker
+// budget.
 func mustSameCoded(t *testing.T, q ra.Expr, d *table.Database, workers int, label string) {
 	t.Helper()
 	p, err := Compile(q, d.Schema())
 	if err != nil {
 		return // compile rejections are covered by the serial differential
 	}
-	configs := []struct {
-		name string
-		cfg  EvalConfig
-	}{
-		{"row", EvalConfig{Workers: workers}},
-		{"columnar", EvalConfig{Workers: workers, Columnar: true}},
-		{"coded", EvalConfig{Workers: workers, Columnar: true, Coded: true}},
+	row := EvalConfig{Workers: workers}
+	coded := EvalConfig{Workers: workers, Coded: true}
+	want, rerr := p.EvalWith(d, row)
+	got, cerr := p.EvalWith(d, coded)
+	if (rerr == nil) != (cerr == nil) {
+		t.Fatalf("%s: error mismatch for %s (workers=%d): row %v, coded %v", label, q, workers, rerr, cerr)
 	}
-	type outcome struct {
-		key string
-		str string
-		err error
+	if rerr == nil && got.CanonicalKey() != want.CanonicalKey() {
+		t.Fatalf("%s: EvalWith coded differs for %s (workers=%d)\ncoded: %s\nrow:   %s\nplan:\n%s",
+			label, q, workers, got, want, p.Describe())
 	}
-	raw := make([]outcome, len(configs))
-	cert := make([]outcome, len(configs))
-	for i, c := range configs {
-		if r, err := p.EvalWith(d, c.cfg); err != nil {
-			raw[i] = outcome{err: err}
-		} else {
-			raw[i] = outcome{key: r.CanonicalKey(), str: r.String()}
-		}
-		if r, err := p.EvalCertainWith(d, c.cfg); err != nil {
-			cert[i] = outcome{err: err}
-		} else {
-			cert[i] = outcome{key: r.CanonicalKey(), str: r.String()}
-		}
+	wantC, rerr := p.EvalCertainWith(d, row)
+	gotC, cerr := p.EvalCertainWith(d, coded)
+	if (rerr == nil) != (cerr == nil) {
+		t.Fatalf("%s: certain error mismatch for %s (workers=%d): row %v, coded %v", label, q, workers, rerr, cerr)
 	}
-	for i := 1; i < len(configs); i++ {
-		if (raw[0].err == nil) != (raw[i].err == nil) {
-			t.Fatalf("%s: error mismatch for %s (workers=%d): row %v, %s %v",
-				label, q, workers, raw[0].err, configs[i].name, raw[i].err)
-		}
-		if raw[0].err == nil && raw[i].key != raw[0].key {
-			t.Fatalf("%s: EvalWith %s differs for %s (workers=%d)\n%s: %s\nrow: %s\nplan:\n%s",
-				label, configs[i].name, q, workers, configs[i].name, raw[i].str, raw[0].str, p.Describe())
-		}
-		if (cert[0].err == nil) != (cert[i].err == nil) {
-			t.Fatalf("%s: certain error mismatch for %s (workers=%d): row %v, %s %v",
-				label, q, workers, cert[0].err, configs[i].name, cert[i].err)
-		}
-		if cert[0].err == nil && cert[i].key != cert[0].key {
-			t.Fatalf("%s: EvalCertainWith %s differs for %s (workers=%d)\n%s: %s\nrow: %s\nplan:\n%s",
-				label, configs[i].name, q, workers, configs[i].name, cert[i].str, cert[0].str, p.Describe())
-		}
+	if rerr == nil && gotC.CanonicalKey() != wantC.CanonicalKey() {
+		t.Fatalf("%s: EvalCertainWith coded differs for %s (workers=%d)\ncoded: %s\nrow:   %s\nplan:\n%s",
+			label, q, workers, gotC, wantC, p.Describe())
 	}
 }
 
@@ -103,8 +79,8 @@ func hugeNullDB(seed int64) *table.Database {
 	return d
 }
 
-// TestCodedMatchesRowFuzz pins the coded path bit-identical to the
-// columnar and row paths across the full random operator corpus, crossed
+// TestCodedMatchesRowFuzz pins the coded path bit-identical to the row
+// path across the full random operator corpus, crossed
 // with serial and parallel evaluation and with databases of pure-int,
 // mixed-kind, and unencodable (huge null id) values — the last forcing
 // the eligibility fallback on every plan.
@@ -134,8 +110,8 @@ func TestCodedMatchesRowFuzz(t *testing.T) {
 }
 
 // largeStringDB is largeDB with string-dominated columns: the workload
-// the coded tier exists for, where the row and columnar paths pay for
-// per-value string hashing and key encoding.
+// the coded tier exists for, where the row path pays for per-value
+// string hashing and key encoding.
 func largeStringDB(tuples int, seed int64) *table.Database {
 	rnd := rand.New(rand.NewSource(seed))
 	d := table.NewDatabase(fuzzSchema())
@@ -156,12 +132,12 @@ func largeStringDB(tuples int, seed int64) *table.Database {
 }
 
 // TestCodedLargeJoin exercises the coded kernels at the production
-// cutoff on string-heavy relations big enough to fill many chunks and
-// take the partitioned-join path: coded partition indexes, coded
-// select-joins over dictionary codes, coded diffs, and a union mixing an
-// eligible branch with a row-path branch.
+// cutoff on relations big enough to fill many chunks and take the
+// partitioned-join path — string-heavy (dictionary codes) and int-only
+// (directly embedded codes): coded partition indexes, coded select-joins,
+// coded diffs, and a union mixing an eligible branch with a row-path
+// branch.
 func TestCodedLargeJoin(t *testing.T) {
-	d := largeStringDB(1500, 17)
 	queries := map[string]ra.Expr{
 		"join": ra.Project{
 			Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")},
@@ -180,17 +156,26 @@ func TestCodedLargeJoin(t *testing.T) {
 			Right: ra.Project{Input: ra.Base("T"), Attrs: []string{"a"}},
 		},
 	}
-	for name, q := range queries {
-		for _, workers := range []int{1, 2, 4, 8} {
-			mustSameCoded(t, q, d, workers, name)
+	dbs := map[string]*table.Database{
+		"strings": largeStringDB(1500, 17),
+		"ints":    largeDB(1500, 11),
+	}
+	for dname, d := range dbs {
+		for name, q := range queries {
+			for _, workers := range []int{1, 2, 4, 8} {
+				mustSameCoded(t, q, d, workers, dname+"/"+name)
+			}
 		}
 	}
 }
 
-// TestCodedEligible pins the coded eligibility gate: the structural
-// colEligible shape is required, and beyond it every base relation the
-// subtree reads must encode cleanly — a single value outside the code
-// space (a null with id ≥ 2^62) disqualifies the subtree.
+// TestCodedEligible pins the coded eligibility gate.  Its shape half:
+// plans that only adopt existing tuples (bare scans, filters,
+// whole-tuple diffs) stay on the row path, plans that build fresh output
+// tuples (π, ⋈, projected diffs) take the coded one.  Beyond the shape,
+// every base relation the subtree reads must encode cleanly — a single
+// value outside the code space (a null with id ≥ 2^62) disqualifies the
+// subtree.
 func TestCodedEligible(t *testing.T) {
 	join := ra.Join{Left: ra.Base("R"), Right: ra.Base("S")}
 	proj := ra.Project{Input: ra.Base("R"), Attrs: []string{"a"}}
@@ -201,16 +186,30 @@ func TestCodedEligible(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile %s: %v", label, q, err)
 		}
-		c := newPctx(d, EvalConfig{Columnar: true, Coded: true}, nil)
+		c := newPctx(d, EvalConfig{Coded: true}, nil)
 		if got := codedEligible(p.root, c); got != want {
 			t.Errorf("%s: codedEligible(%s) = %v, want %v\nplan:\n%s", label, q, got, want, p.Describe())
 		}
 	}
 
 	clean := codedFuzzDB(1)
-	check(clean, ra.Base("R"), false, "clean") // not colEligible: adoption is free on the row path
-	check(clean, proj, true, "clean")
-	check(clean, join, true, "clean")
+	shapes := []struct {
+		q    ra.Expr
+		want bool
+	}{
+		{ra.Base("R"), false},
+		{ra.Select{Input: ra.Base("R"), Pred: ra.Neq(ra.Attr("a"), ra.LitInt(0))}, false},
+		{ra.Diff{Left: ra.Base("R"), Right: ra.Base("T")}, false},
+		{proj, true},
+		{join, true},
+		{ra.Diff{
+			Left:  ra.Project{Input: ra.Base("R"), Attrs: []string{"a"}},
+			Right: ra.Project{Input: ra.Base("T"), Attrs: []string{"a"}},
+		}, true},
+	}
+	for _, tc := range shapes {
+		check(clean, tc.q, tc.want, "clean")
+	}
 
 	huge := hugeNullDB(1)
 	check(huge, proj, false, "huge-null")
@@ -242,5 +241,72 @@ func TestCodedFallbackMidDictionary(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		mustSameCoded(t, absent, d, workers, "absent-eq")
 		mustSameCoded(t, absentNeq, d, workers, "absent-neq")
+	}
+}
+
+// TestCodedScratchLifetime audits the producer-owned scratch contract
+// of the coded tier: tuples a consumer adopts out of a coded gather
+// (decoded into slab-carved storage) must stay valid after the coded
+// chunks and selection vectors they were gathered from are recycled and
+// refilled by later (including concurrent) evaluations.  Run under -race
+// in CI, this also catches any write to a recycled buffer that still
+// aliases adopted state.
+func TestCodedScratchLifetime(t *testing.T) {
+	d := largeStringDB(800, 21)
+	q := ra.Project{
+		Input: ra.Join{Left: ra.Base("R"), Right: ra.Base("S")},
+		Attrs: []string{"a", "c"},
+	}
+	p, err := Compile(q, d.Schema())
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if !codedEligible(p.root, newPctx(d, EvalConfig{Coded: true}, nil)) {
+		t.Fatalf("test query must take the coded path")
+	}
+	res, err := p.EvalWith(d, EvalConfig{Coded: true})
+	if err != nil {
+		t.Fatalf("eval: %v", err)
+	}
+
+	// Adopt the result's tuples and deep-copy their values.
+	var adopted []table.Tuple
+	var copies [][]value.Value
+	res.Each(func(tp table.Tuple) bool {
+		adopted = append(adopted, tp)
+		cp := make([]value.Value, len(tp))
+		copy(cp, tp)
+		copies = append(copies, cp)
+		return true
+	})
+	if len(adopted) == 0 {
+		t.Fatalf("test query produced no tuples; corpus is wrong")
+	}
+
+	// Churn the coded chunk and selection pools hard: many more
+	// evaluations, on multiple goroutines, reusing the same process-wide
+	// pools.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			d2 := largeStringDB(400, seed)
+			for i := 0; i < 8; i++ {
+				if _, err := p.EvalWith(d2, EvalConfig{Workers: 1 + int(seed)%3, Coded: true}); err != nil {
+					t.Errorf("churn eval: %v", err)
+					return
+				}
+			}
+		}(int64(30 + g))
+	}
+	wg.Wait()
+
+	for i, tp := range adopted {
+		for j := range tp {
+			if tp[j] != copies[i][j] {
+				t.Fatalf("adopted tuple %d mutated after pool churn: %v != %v", i, tp, copies[i])
+			}
+		}
 	}
 }

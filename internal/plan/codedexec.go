@@ -9,38 +9,46 @@ import (
 	"incdata/internal/value"
 )
 
-// Coded (monomorphic) execution.  Operators that implement codedStreamer
-// move data as col.Coded chunks — one []uint64 code vector per column —
-// instead of []value.Value columns: scans emit zero-copy windows over the
-// relation's cached table.Encoding, compiled predicates narrow selection
-// vectors with branch-free u64 compares (codedpred.go), the hash-join
-// probe hashes raw codes (no binary key encoding, no allocation) against
-// a table.CodedIndex, and diff/intersect membership probes hash code
-// tuples the same way.  Codes decode back to value.Value exactly once, at
-// the gather in materializeIntoCoded, and only for rows that survive
-// dedup.
+// Coded (monomorphic) execution: the one vectorized executor, bridging
+// from the row-chunk path (chunk.go).  Operators that implement
+// codedStreamer move data as col.Coded chunks — one []uint64 code vector
+// per column plus a selection vector — instead of per-tuple rows: scans
+// emit zero-copy windows over the relation's cached table.Encoding,
+// compiled predicates narrow selection vectors with branch-free u64
+// compares (codedpred.go), projections re-point code vectors without
+// moving data, the hash-join probe hashes raw codes (no binary key
+// encoding, no allocation) against a table.CodedIndex, and
+// diff/intersect membership probes hash code tuples the same way.  Codes
+// decode back to value.Value exactly once, at the gather in
+// materializeIntoCoded, and only for rows that survive dedup.
 //
-// The tier is strictly layered above the columnar path: codedEligible
-// requires the colEligible shape plus an Ok() encoding for every base
-// relation the subtree reads, and any runtime surprise (a partition
-// bucket or build side outside the code space) falls back through
-// bridgeCoded, which re-encodes the row stream on the fly.  The columnar
-// path (colexec.go) is kept fully intact as the differential oracle —
-// plan.EvalConfig.Coded selects the tier, and the fuzz tests pin all
-// three execution models bit-identical across planners and worker
-// counts.
+// Eligibility: codedEligible requires the buildsFreshTuples shape (plans
+// that only adopt existing tuples stay on the row path, where adoption is
+// free) plus an Ok() encoding for every base relation the subtree reads.
+// A declined subtree — churn guard, Δ, or a value outside the code space
+// — runs on the row-chunk path, which is the differential oracle:
+// plan.EvalConfig.Coded selects the tier, and the fuzz tests pin the two
+// bit-identical across planners and worker counts.
 //
-// Chunk contract: identical to the columnar path — the chunk and
-// selection vector passed to emit are producer-owned scratch (or
-// read-only views into a cached Encoding) and must not be retained past
-// the emit callback.
+// Bridge rules: operators without a native coded form (product,
+// division) and coded operators whose fast-path inputs are unavailable
+// at run time (a partition bucket or build side outside the code space)
+// adapt through bridgeCoded, which re-encodes their row-chunk stream on
+// the fly, so row chunks and coded chunks compose freely within one plan.
+//
+// Chunk contract: the chunk and selection vector passed to emit are
+// producer-owned scratch (or read-only views into a cached Encoding),
+// reused for the next batch as soon as emit returns — consumers must not
+// retain either.  Values gathered out of a chunk are decoded copies
+// carved from slabs the output relation owns, so adopted tuples never
+// alias chunk storage (pinned by TestCodedScratchLifetime).
 
 // codedEmit consumes one coded chunk restricted to the selected rows
 // (nil sel = all rows).
 type codedEmit func(ch *col.Coded, sel []int32) bool
 
-// codedStreamer is the coded counterpart of colStreamer, implemented by
-// operators with a native coded form.
+// codedStreamer is the coded counterpart of chunkStreamer, implemented
+// by operators with a native coded form.
 type codedStreamer interface {
 	streamCoded(c *pctx, emit codedEmit) error
 }
@@ -55,7 +63,7 @@ type codedContains func(h uint64, key []uint64) bool
 var errCodedOverflow = errors.New("plan: value outside the code space on the coded path")
 
 // codedChunkPool recycles coded chunks (and their column capacity)
-// across operators and evaluations, like colChunkPool.
+// across operators and evaluations, like chunkPool does for row chunks.
 var codedChunkPool = sync.Pool{
 	New: func() any { return &col.Coded{} },
 }
@@ -265,7 +273,7 @@ func (n *punion) streamCoded(c *pctx, emit codedEmit) error {
 // partitioned parallel path the worker's per-partition coded index,
 // otherwise a coded index over the build side's cached encoding.  nil
 // (with no error) means the build side has no coded form — the caller
-// falls back to the columnar/binary probe via bridgeCoded.
+// falls back to the row path's binary-key probe via bridgeCoded.
 func (n *pjoin) codedIndex(c *pctx) (*table.CodedIndex, error) {
 	if c.partIdxFor == n {
 		return c.partCoded, nil
@@ -334,9 +342,10 @@ func (n *pjoin) codedIndex(c *pctx) (*table.CodedIndex, error) {
 // HashCode fold of the probe columns' raw codes and appends matches
 // column-wise — no binary key is built and no tuple is allocated per
 // match.  Hash buckets may mix distinct keys, so every candidate is
-// verified by u64 equality (MatchesKey).  The all-constant fast path
-// mirrors the columnar one: null-free build side plus all-constant probe
-// chunk skip the sidecar bookkeeping entirely.
+// verified by u64 equality (MatchesKey).  When the build side indexed
+// only null-free tuples (AllComplete) and the probe chunk is
+// all-constant, the fast path skips the null-sidecar bookkeeping
+// entirely and the output chunk stays marked all-constant for free.
 func (n *pjoin) streamCoded(c *pctx, emit codedEmit) error {
 	ix, err := n.codedIndex(c)
 	if err != nil {
@@ -642,19 +651,41 @@ func (n *pdiff) streamCoded(c *pctx, emit codedEmit) error {
 }
 
 // codedEligible reports whether the coded tier should evaluate this
-// subtree: the shape must pay off like the columnar path's
-// (colEligible), and every base relation the subtree reads must have an
-// Ok() encoding — otherwise bridged chunks could meet a value outside
-// the code space mid-stream.  Checking eagerly also builds (and caches)
-// the encodings the scans will serve windows from.
+// subtree: the shape must pay off (buildsFreshTuples), and every base
+// relation the subtree reads must have an Ok() encoding — otherwise
+// bridged chunks could meet a value outside the code space mid-stream.
+// Checking eagerly also builds (and caches) the encodings the scans will
+// serve windows from.
 func codedEligible(n pnode, c *pctx) bool {
 	if !c.coded || c.dict == nil {
 		return false
 	}
-	if !colEligible(n) {
+	if !buildsFreshTuples(n) {
 		return false
 	}
 	return scansEncodable(n, c)
+}
+
+// buildsFreshTuples is the shape half of the coded gate: some operator on
+// the stream builds fresh output tuples per row (π, ⋈, or a diff with a
+// fused projection), which the coded gather defers to a single final
+// decode.  Plans that only adopt existing tuples (bare scans, filters,
+// whole-tuple diffs) stay on the row path, where adoption is free.
+func buildsFreshTuples(n pnode) bool {
+	switch x := n.(type) {
+	case *pjoin, *pproject:
+		return true
+	case *pdiff:
+		return x.lproj != nil || buildsFreshTuples(x.l)
+	case *pfilter:
+		return buildsFreshTuples(x.in)
+	case *pschema:
+		return buildsFreshTuples(x.in)
+	case *punion:
+		return buildsFreshTuples(x.l) || buildsFreshTuples(x.r)
+	default:
+		return false
+	}
 }
 
 // scansEncodable walks every operator of the subtree — including bridged

@@ -9,15 +9,22 @@ import (
 	"incdata/internal/value"
 )
 
-// Coded (monomorphic) predicate compilation.  A kpred is the coded twin
-// of vpred: the same selection-vector contract (ascending, pooled
-// buffers from the pctx, nil = all rows), but the comparisons run over
-// the raw []uint64 code vectors of a col.Coded chunk.  Equality and
-// inequality become branch-free u64 compares — code equality coincides
-// with value equality under the shared dictionary — and only the order
-// comparisons ever look at a value again, via the lock-free decode
-// snapshot (and even there, two directly coded integers compare as bare
-// u64s thanks to the order-preserving bias).
+// Coded (monomorphic) predicate compilation.  A kpred is the vectorized
+// counterpart of cpred: instead of a closure invoked once per tuple, it
+// is invoked once per chunk and narrows a selection vector with tight
+// loops over the raw []uint64 code vectors of a col.Coded chunk.
+// Equality and inequality become branch-free u64 compares — code
+// equality coincides with value equality under the shared dictionary —
+// and only the order comparisons ever look at a value again, via the
+// lock-free decode snapshot (and even there, two directly coded integers
+// compare as bare u64s thanks to the order-preserving bias).
+//
+// Selection-vector contract: sel lists the live row indexes of the chunk
+// in ascending order, with nil meaning "all rows".  A kpred always
+// returns a buffer obtained from the pctx selection pool — never its
+// input — and the caller releases it with putSel.  Combinators preserve
+// ascending order (∧ narrows, ∨ merges sorted results, ¬ complements),
+// so the coded path visits surviving rows in exactly the input order.
 
 // kpred narrows a selection vector over a coded chunk; nil means
 // constant true.
@@ -289,4 +296,54 @@ func kcmpOrder(op ra.CmpOp, li int, lc value.Value, ri int, rc value.Value) kpre
 		}
 		return out
 	}
+}
+
+// unionSorted merges two ascending selection vectors into dst (set
+// union, ascending).
+func unionSorted(dst, a, b []int32) []int32 {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
+			i++
+		case a[i] > b[j]:
+			dst = append(dst, b[j])
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
+// complementSorted appends to dst the rows of the base selection (sel,
+// nil = all rows of the chunk) that are absent from the ascending vector
+// drop.
+func complementSorted(dst []int32, rows int, sel, drop []int32) []int32 {
+	j := 0
+	if sel == nil {
+		for i := int32(0); int(i) < rows; i++ {
+			if j < len(drop) && drop[j] == i {
+				j++
+				continue
+			}
+			dst = append(dst, i)
+		}
+		return dst
+	}
+	for _, i := range sel {
+		for j < len(drop) && drop[j] < i {
+			j++
+		}
+		if j < len(drop) && drop[j] == i {
+			j++
+			continue
+		}
+		dst = append(dst, i)
+	}
+	return dst
 }

@@ -25,10 +25,8 @@ type pctx struct {
 	db     ra.DB
 	keyBuf []byte
 
-	columnar bool      // use the vectorized path where eligible (colexec.go)
-	selPool  [][]int32 // recycled selection vectors for vectorized kernels
-
 	coded    bool          // use the coded path where eligible (codedexec.go)
+	selPool  [][]int32     // recycled selection vectors for the coded kernels
 	dict     *table.Dict   // the database's value dictionary; nil disables coded
 	dictVals []value.Value // lock-free decode snapshot, refreshed on demand
 
@@ -143,13 +141,11 @@ type pempty struct{ rs schema.Relation }
 func (n *pempty) out() schema.Relation                       { return n.rs }
 func (n *pempty) stream(*pctx, func(table.Tuple) bool) error { return nil }
 
-// pfilter applies a compiled predicate.  vpred is the vectorized twin of
-// pred, used by the columnar path (colexec.go), and kpred the coded twin
-// (codedexec.go); each is nil when the predicate has no such form.
+// pfilter applies a compiled predicate.  kpred is the coded twin of
+// pred, used by the coded path (codedexec.go).
 type pfilter struct {
 	in    pnode
 	pred  cpred
-	vpred vpred
 	kpred kpred
 }
 
@@ -165,13 +161,11 @@ func (n *pfilter) stream(c *pctx, emit func(table.Tuple) bool) error {
 }
 
 // pproject projects onto fixed positions, with an optional fused
-// pre-projection filter (σ directly below π never materializes).  vpred
-// is the vectorized twin of pred for the columnar path; nil when pred is
-// nil or has no vectorized form.
+// pre-projection filter (σ directly below π never materializes).  kpred
+// is the coded twin of pred for the coded path; nil when pred is nil.
 type pproject struct {
 	in    pnode
 	pred  cpred // may be nil
-	vpred vpred
 	kpred kpred
 	idx   []int
 	rs    schema.Relation
@@ -331,7 +325,6 @@ type pdiff struct {
 	l      pnode
 	lproj  []int // nil: compare l's tuples whole
 	lpred  cpred // optional filter fused from a projected selection
-	lvpred vpred // vectorized twin of lpred for the columnar path
 	lkpred kpred // coded twin of lpred for the coded path
 	r      pnode
 	rproj  []int
@@ -430,20 +423,20 @@ func (n *pdiff) stream(c *pctx, emit func(table.Tuple) bool) error {
 
 // fusedDiff builds a pdiff, fusing projections below both sides.
 func fusedDiff(l, r pnode, negate bool, rs schema.Relation) *pdiff {
-	lsrc, lproj, lpred, lvpred, lkpred := fuseDiffSide(l)
-	rsrc, rproj, rpred, _, _ := fuseDiffSide(r)
+	lsrc, lproj, lpred, lkpred := fuseDiffSide(l)
+	rsrc, rproj, rpred, _ := fuseDiffSide(r)
 	return &pdiff{
-		l: lsrc, lproj: lproj, lpred: lpred, lvpred: lvpred, lkpred: lkpred,
+		l: lsrc, lproj: lproj, lpred: lpred, lkpred: lkpred,
 		r: rsrc, rproj: rproj, rpred: rpred,
 		negate: negate, rs: rs,
 	}
 }
 
 // fuseDiffSide peels renames and a pure projection (with its fused
-// pre-filter, in row, vectorized and coded forms) off a diff/intersect
-// input so pdiff can compare keys without materializing the projected
-// tuples.  Renames do not change tuples, so they vanish entirely.
-func fuseDiffSide(n pnode) (src pnode, proj []int, pred cpred, vp vpred, kp kpred) {
+// pre-filter, in row and coded forms) off a diff/intersect input so
+// pdiff can compare keys without materializing the projected tuples.
+// Renames do not change tuples, so they vanish entirely.
+func fuseDiffSide(n pnode) (src pnode, proj []int, pred cpred, kp kpred) {
 	for {
 		if ps, ok := n.(*pschema); ok {
 			n = ps.in
@@ -452,9 +445,9 @@ func fuseDiffSide(n pnode) (src pnode, proj []int, pred cpred, vp vpred, kp kpre
 		break
 	}
 	if pp, ok := n.(*pproject); ok {
-		return pp.in, pp.idx, pp.pred, pp.vpred, pp.kpred
+		return pp.in, pp.idx, pp.pred, pp.kpred
 	}
-	return n, nil, nil, nil, nil
+	return n, nil, nil, nil
 }
 
 // pdivision is relational division over materialized inputs (a pipeline

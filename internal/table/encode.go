@@ -11,9 +11,9 @@ package table
 // gets a dictionary slot.  Because the dictionary interns each distinct
 // value exactly once, code equality coincides with value equality across
 // every relation encoded against the same dictionary, which is all that
-// certain-answer evaluation ever asks of constants.  The vectorized
-// kernels of internal/plan run entirely over these codes and decode back
-// to value.Value only at materialization.
+// certain-answer evaluation ever asks of constants.  The coded kernels
+// of internal/plan run entirely over these codes and decode back to
+// value.Value only at materialization.
 //
 // Encodings are built lazily by Relation.Encoding and CAS-published on
 // the relation with the same lifecycle as Partitioning: any mutation
@@ -21,8 +21,8 @@ package table
 // content stamp double-checks that a cached encoding still describes the
 // relation it is asked for.  A relation containing a value outside the
 // code space (only null ids ≥ 2^62 qualify) yields an Encoding with
-// Ok() == false, which the plan layer treats as "fall back to the
-// columnar path".
+// Ok() == false, which the plan layer treats as "fall back to the row
+// path".
 
 import (
 	"sync"
@@ -112,7 +112,7 @@ func (d *Dict) Len() int {
 
 // Encoding is the coded-column sidecar of a relation: one []uint64 code
 // vector per column (all in the same arbitrary-but-fixed row order) plus
-// the per-column all-constant sidecar mirrored from the columnar layout.
+// the per-column all-constant sidecar of the col.Coded chunk layout.
 // An Encoding is immutable once published.
 type Encoding struct {
 	dict   *Dict

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"incdata/internal/value"
@@ -160,8 +161,8 @@ func TestCodedIndexLookup(t *testing.T) {
 
 // TestEncodingChurnGuard pins the churn heuristic: a relation whose
 // sidecar keeps getting invalidated before any reuse is eventually
-// declined (Encoding returns nil, the plan layer falls back to the
-// columnar path), and a relation that goes quiet earns its way back to
+// declined (Encoding returns nil, the plan layer falls back to the row
+// path), and a relation that goes quiet earns its way back to
 // full cache hits through the periodic probe rebuild.
 func TestEncodingChurnGuard(t *testing.T) {
 	d := NewDict()
@@ -200,16 +201,22 @@ func TestEncodingChurnGuard(t *testing.T) {
 // TestEncodingConcurrentBuildVsWriter races concurrent Encoding builders
 // (CAS publication) against a committing writer that keeps mutating the
 // relation and thereby invalidating the sidecar.  Run under -race in CI.
-// Every encoding a reader observes must be internally consistent: its row
-// count matches its vectors, and its stamp never belongs to the future —
-// a reader may see a stale (already-invalidated) encoding, but never a
-// torn one.
+// The writer owns the live relation (Relation is single-writer) and,
+// after each add, publishes a copy-on-write snapshot through an atomic
+// pointer — the engine's snapshot pattern; readers encode whichever
+// snapshot is current, so several builders race on the same snapshot
+// while the writer's next add lands on the live header.  Every encoding
+// a reader observes must be internally consistent: its row count matches
+// its vectors and the snapshot it describes — a reader may see a stale
+// snapshot, but never a torn encoding.
 func TestEncodingConcurrentBuildVsWriter(t *testing.T) {
 	dict := NewDict()
 	r := NewRelationArity("R", 2)
 	for i := 0; i < 64; i++ {
 		r.MustAdd(NewTuple(value.Int(int64(i%8)), value.String(fmt.Sprintf("s%d", i%5))))
 	}
+	var snap atomic.Pointer[Relation]
+	snap.Store(r.Clone())
 
 	const readers = 4
 	var wg sync.WaitGroup
@@ -226,7 +233,8 @@ func TestEncodingConcurrentBuildVsWriter(t *testing.T) {
 					return
 				default:
 				}
-				e := r.Encoding(dict)
+				s := snap.Load()
+				e := s.Encoding(dict)
 				if e == nil {
 					// The churn guard declined: the writer is invalidating
 					// faster than readers reuse the sidecar.  Legal; retry.
@@ -237,6 +245,10 @@ func TestEncodingConcurrentBuildVsWriter(t *testing.T) {
 					return
 				}
 				rows := e.Rows()
+				if rows != s.Len() {
+					t.Errorf("encoding has %d rows for a snapshot of %d", rows, s.Len())
+					return
+				}
 				for j := 0; j < 2; j++ {
 					if len(e.Col(j)) != rows {
 						t.Errorf("col %d has %d codes for %d rows", j, len(e.Col(j)), rows)
@@ -259,9 +271,11 @@ func TestEncodingConcurrentBuildVsWriter(t *testing.T) {
 		}(g)
 	}
 
-	// The committing writer: each batch bumps the stamp and invalidates.
+	// The committing writer: each add bumps the stamp and invalidates,
+	// then publishes the new state as a snapshot.
 	for i := 0; i < 200; i++ {
 		r.MustAdd(NewTuple(value.Int(int64(100+i)), value.String(fmt.Sprintf("w%d", i%7))))
+		snap.Store(r.Clone())
 	}
 	close(stop)
 	wg.Wait()

@@ -20,7 +20,6 @@ type Index struct {
 	positions []int
 	heads     map[string]int32 // projected key → 1-based head into entries
 	entries   []indexEntry
-	complete  bool // every indexed tuple is null-free
 }
 
 type indexEntry struct {
@@ -30,13 +29,6 @@ type indexEntry struct {
 
 // Positions returns the column positions the index is keyed on.
 func (ix *Index) Positions() []int { return ix.positions }
-
-// AllComplete reports whether every indexed tuple is null-free, tracked
-// once at build time.  The vectorized hash-join probe (internal/plan)
-// reads it to take the all-constant fast path: when the build side is
-// null-free and the probe columns carry the all-constant sidecar, join
-// output needs no per-value null bookkeeping at all.
-func (ix *Index) AllComplete() bool { return ix.complete }
 
 // Len returns the number of indexed tuples.
 func (ix *Index) Len() int { return len(ix.entries) }
@@ -98,7 +90,6 @@ func (r *Relation) buildIndex(positions []int) *Index {
 		positions: append([]int(nil), positions...),
 		heads:     make(map[string]int32, r.Len()),
 		entries:   make([]indexEntry, 0, r.Len()),
-		complete:  true,
 	}
 	var buf [keyBufSize]byte
 	for _, t := range r.tuples {
@@ -109,9 +100,6 @@ func (r *Relation) buildIndex(positions []int) *Index {
 		head := ix.heads[string(key)]
 		ix.entries = append(ix.entries, indexEntry{t: t, next: head})
 		ix.heads[string(key)] = int32(len(ix.entries))
-		if ix.complete && !t.IsComplete() {
-			ix.complete = false
-		}
 	}
 	return ix
 }

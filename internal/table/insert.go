@@ -1,8 +1,8 @@
 package table
 
-// Keyed batch insertion.  The columnar gather path (internal/plan)
-// computes each output row's binary key column-wise before it decides
-// whether to materialize the row as a tuple at all; Inserter lets it
+// Keyed batch insertion.  The coded gather (internal/plan) decodes each
+// output row into reusable slab storage and computes its binary key
+// before it decides whether to keep the row at all; Inserter lets it
 // probe and insert with that precomputed key so duplicate rows are
 // dropped without ever allocating a tuple, and the copy-on-write check
 // and version bump happen once per batch instead of once per row (the

@@ -163,7 +163,6 @@ func newIndexFromTuples(positions []int, ts []Tuple) *Index {
 		positions: append([]int(nil), positions...),
 		heads:     make(map[string]int32, len(ts)),
 		entries:   make([]indexEntry, 0, len(ts)),
-		complete:  true,
 	}
 	var buf [keyBufSize]byte
 	for _, t := range ts {
@@ -174,9 +173,6 @@ func newIndexFromTuples(positions []int, ts []Tuple) *Index {
 		head := ix.heads[string(key)]
 		ix.entries = append(ix.entries, indexEntry{t: t, next: head})
 		ix.heads[string(key)] = int32(len(ix.entries))
-		if ix.complete && !t.IsComplete() {
-			ix.complete = false
-		}
 	}
 	return ix
 }
